@@ -139,9 +139,9 @@ def _copy_matrix(dm: DistributedMatrix) -> DistributedMatrix:
 # time once everything else was fast.  The walk below computes the whole
 # factorization detachedly: one rendezvous collects every rank's entry
 # time, the per-panel collective chain (barriers, pivot rounds, swap
-# exchanges, L/U broadcasts, local charges) is replayed with the same
-# detached CollSim the cost tables use, and each rank receives its
-# completion through one scheduled event.  A pdgetrf call costs O(ranks)
+# exchanges, L/U broadcasts, local charges) is replayed detachedly
+# (``fastcoll.detached_call``), and each rank receives its completion
+# through one scheduled event.  A pdgetrf call costs O(ranks)
 # heap events regardless of matrix size.
 # ---------------------------------------------------------------------------
 
@@ -156,12 +156,15 @@ def _pdgetrf_walk(machine, desc: Descriptor, nodes: list[int],
                   grid_stats) -> tuple[list[float], list]:
     """Per-rank completion times and pivots of one phantom ``pdgetrf``.
 
-    Mirrors the sampled reference path panel by panel: the collective
-    sequence is replayed with :func:`repro.mpi.fastcoll.detached_call`
-    over persistent scratch engines (NIC serialization between
-    consecutive panel operations is preserved), pivot rounds and swap
-    exchanges come from the closed-form tables, and local flops advance
-    each rank's clock arithmetically.  Stats are booked exactly as the
+    Mirrors the sampled reference path panel by panel: each
+    multi-member barrier and broadcast is one
+    :func:`repro.mpi.fastcoll.detached_call` over persistent scratch
+    engines (NIC serialization between consecutive panel operations is
+    preserved).  Those two kinds take the call's dedicated replay,
+    bit-identical in times and stats (``busy_time`` included) to a
+    ``CollSim`` over the same wire.  Pivot rounds and swap exchanges
+    come from the closed-form tables, and local flops advance each
+    rank's clock arithmetically.  Stats are booked exactly as the
     sampled path books them (one pivot round and one swap per panel,
     full traffic for barriers and broadcasts).
     """

@@ -60,6 +60,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from functools import lru_cache
+from itertools import count
 from typing import Any, Callable, Optional
 
 from repro.mpi.datatypes import HEADER_BYTES, payload_nbytes
@@ -119,11 +121,20 @@ class Wire:
                 net.stats.busy_time += end - start
             return end
         t_arrive = start + net.software_overhead
-        src_eng = self.engines.setdefault(src_node, [0.0, 0.0])
-        dst_eng = self.engines.setdefault(dst_node, [0.0, 0.0])
-        t_tx = max(t_arrive, src_eng[0])
-        t_hold = max(t_tx, dst_eng[1])
-        bw = min(self.nics[src].bandwidth, self.nics[dst].bandwidth)
+        engines = self.engines
+        src_eng = engines.get(src_node)
+        if src_eng is None:
+            src_eng = engines[src_node] = [0.0, 0.0]
+        dst_eng = engines.get(dst_node)
+        if dst_eng is None:
+            dst_eng = engines[dst_node] = [0.0, 0.0]
+        # Inline max/min (hot path): same operands, same tie winner.
+        t_tx = src_eng[0] if src_eng[0] > t_arrive else t_arrive
+        t_hold = dst_eng[1] if dst_eng[1] > t_tx else t_tx
+        bw = self.nics[src].bandwidth
+        dst_bw = self.nics[dst].bandwidth
+        if dst_bw < bw:
+            bw = dst_bw
         wire = nbytes * (1.0 / bw + net.per_byte_overhead)
         if t_hold > t_arrive:
             wire *= 1.0 + net.contention_penalty
@@ -200,33 +211,40 @@ def p2p_time(network, src_node: int, dst_node: int,
 # Binomial-tree structure (mirrors Comm.bcast's masks exactly)
 # ---------------------------------------------------------------------------
 
-def bcast_parent(rank: int, root: int, size: int) -> int:
-    """The rank this rank receives from in a binomial broadcast."""
-    relrank = (rank - root) % size
-    mask = 1
-    while not relrank & mask:
-        mask <<= 1
-    return ((relrank - mask) + root) % size
+@lru_cache(maxsize=1024)
+def bcast_tree(root: int, size: int) -> tuple[tuple, tuple]:
+    """``(parents, children)`` of the binomial broadcast from ``root``.
 
-
-def bcast_children(rank: int, root: int, size: int) -> deque:
-    """The ranks this rank forwards to, in send order."""
-    relrank = (rank - root) % size
-    if relrank == 0:
+    ``parents[rank]`` is the rank it receives from (-1 for the root);
+    ``children[rank]`` the ranks it forwards to, in send order.  Cached
+    per ``(root, size)``: every replay of one communicator shape walks
+    the same tuples.
+    """
+    parents = [-1] * size
+    children = []
+    for rank in range(size):
+        relrank = (rank - root) % size
         mask = 1
-        while mask < size:
-            mask <<= 1
-    else:
-        mask = 1
-        while not relrank & mask:
-            mask <<= 1
-    mask >>= 1
-    out: deque = deque()
-    while mask > 0:
-        if relrank + mask < size:
-            out.append((relrank + mask + root) % size)
+        if relrank == 0:
+            while mask < size:
+                mask <<= 1
+        else:
+            while not relrank & mask:
+                mask <<= 1
+            parents[rank] = ((relrank - mask) + root) % size
         mask >>= 1
-    return out
+        kids = []
+        while mask > 0:
+            if relrank + mask < size:
+                kids.append((relrank + mask + root) % size)
+            mask >>= 1
+        children.append(tuple(kids))
+    return tuple(parents), tuple(children)
+
+
+def bcast_children(rank: int, root: int, size: int) -> tuple:
+    """The ranks this rank forwards to, in send order."""
+    return bcast_tree(root, size)[1][rank]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +324,10 @@ class CollSim:
             self.stage = [0] * size
         elif kind == "bcast":
             self.value: Any = None
-            self.children: list[Optional[deque]] = [None] * size
+            self.parents, self.children = bcast_tree(root, size)
+            #: Index of each rank's next child send; -1 until it holds
+            #: the value.
+            self.next_child = [-1] * size
         else:  # pragma: no cover - internal misuse
             raise ValueError(f"unknown collective kind {kind!r}")
 
@@ -457,8 +478,7 @@ class CollSim:
         elif kind == "bcast":
             if rank == self.root:
                 self.value = self.payloads[rank]
-                self.children[rank] = bcast_children(rank, self.root,
-                                                     self.size)
+                self.next_child[rank] = 0
                 self._bcast_forward(rank, self.t_cur[rank])
             else:
                 self._advance(rank)
@@ -589,24 +609,25 @@ class CollSim:
             self._start_send(rank, dest,
                              self.payloads[rank][dest], nxt)
         elif kind == "bcast":
-            if self.children[rank] is not None:
+            if self.next_child[rank] >= 0:
                 return  # already received; spurious wakeup
-            src = bcast_parent(rank, self.root, size)
-            got = self._take(rank, src)
+            got = self._take(rank, self.parents[rank])
             if got is None:
                 return
             self.t_cur[rank] = max(self.t_cur[rank], got[0])
             self.value = got[1]
-            self.children[rank] = bcast_children(rank, self.root, size)
+            self.next_child[rank] = 0
             self._bcast_forward(rank, self.t_cur[rank])
 
     def _bcast_forward(self, rank: int, t: float) -> None:
         """Queue the next binomial-tree send of ``rank`` (or finish)."""
-        pending = self.children[rank]
-        if not pending:
+        kids = self.children[rank]
+        i = self.next_child[rank]
+        if i == len(kids):
             self._resolve(rank, t, self.value)
             return
-        self._start_send(rank, pending.popleft(), self.value, t)
+        self.next_child[rank] = i + 1
+        self._start_send(rank, kids[i], self.value, t)
 
 
 # ---------------------------------------------------------------------------
@@ -758,13 +779,33 @@ def detached_call(network, nodes: list[int], kind: str,
     — through the wire — NIC and network counters, exactly as the live
     fast path would book them.  The closed-form primitive behind the
     whole-iteration LU walk.
+
+    ``bcast`` and ``barrier`` (the kinds the walk issues, ~9 sends per
+    call) take a dedicated replay; every other kind runs a
+    :class:`CollSim` (:func:`collsim_replay`).  Both give bit-identical
+    times, engine state and counters.
     """
     wire = Wire(network, nodes, engines=engines,
                 record_stats=stats is not None)
-    sim = CollSim(kind, len(nodes), DetachedSender(wire), root=root,
+    if kind == "bcast":
+        return _bcast_replay(wire, times, payload_nbytes(payloads[root]),
+                             root, stats)
+    if kind == "barrier":
+        return _barrier_replay(wire, times, stats)
+    return collsim_replay(wire, kind, times, payloads, root=root, op=op,
+                          stats=stats)
+
+
+def collsim_replay(wire: Wire, kind: str, times: list[float],
+                   payloads: list, *, root: int = 0,
+                   op: Optional[Callable] = None, stats=None) -> list[float]:
+    """:func:`detached_call` over ``wire`` through a generic
+    :class:`CollSim` — any kind; the reference for the dedicated
+    replays below."""
+    sim = CollSim(kind, len(times), DetachedSender(wire), root=root,
                   op=op, stats=stats)
     resolved: list = []
-    for rank in sorted(range(len(nodes)), key=lambda r: times[r]):
+    for rank in sorted(range(len(times)), key=lambda r: times[r]):
         resolved.extend(sim.arrive(rank, times[rank], payloads[rank]))
     sim.drain(float("inf"))
     resolved.extend(sim.take_resolved())
@@ -772,6 +813,154 @@ def detached_call(network, nodes: list[int], kind: str,
     for rank, when, _value, _cause in resolved:
         out[rank] = when
     return out
+
+
+# The dedicated replays follow CollSim's discipline step for step on a
+# synchronous wire: ranks arrive in (time, rank) order and each arrival
+# drains the sends due by then (the last one drains everything); sends
+# execute in ``(start, cause, seq)`` heap order; a completion resumes a
+# blocking (bcast) sender before its receiver and an isend (barrier)
+# receiver before its sender, as CollSim._wire_done does.  A cause
+# ``(hop, exec, sub)`` is packed into the int ``hop * _HOP + 2 * exec +
+# sub``, which sorts identically.  They exist because LU's walk makes
+# ~21k such calls per W2 pass at ~9 sends each, where CollSim's per-call
+# objects and per-send closures cost more than the arithmetic.
+_HOP = 1 << 60
+
+
+def _bcast_replay(wire: Wire, times: list[float], nbytes: int, root: int,
+                  stats) -> list[float]:
+    size = len(times)
+    children = bcast_tree(root, size)[1]
+    send = wire.send
+    heappush, heappop = heapq.heappush, heapq.heappop
+    tick = count()
+    t = list(times)              # each rank's clock; final = completion
+    arrived = [False] * size
+    cause = [0] * size
+    next_child = [-1] * size     # -1 until the rank holds the value
+    dest = [0] * size            # destination of the rank's queued send
+    deposit: list = [None] * size  # (when, exec) from the parent
+    heap: list = []
+    ex = 0
+
+    def forward(rank: int) -> None:
+        i = next_child[rank]
+        kids = children[rank]
+        if i < len(kids):
+            next_child[rank] = i + 1
+            dest[rank] = kids[i]
+            heappush(heap, (t[rank], cause[rank], next(tick), rank))
+
+    def receive(rank: int, when: float, dex: int) -> None:
+        if when > t[rank]:
+            cause[rank] = 2 * dex + 1
+            t[rank] = when
+        next_child[rank] = 0
+        forward(rank)
+
+    last = size - 1
+    for n, rank in enumerate(sorted(range(size), key=times.__getitem__)):
+        arrived[rank] = True
+        ex += 1
+        cause[rank] = 2 * ex + 1
+        if rank == root:
+            next_child[rank] = 0
+            forward(rank)
+        elif deposit[rank] is not None:
+            receive(rank, *deposit[rank])
+        limit = math.inf if n == last else times[rank]
+        while heap and heap[0][0] <= limit:
+            start, _cause, _seq, src = heappop(heap)
+            dst = dest[src]
+            end = send(src, dst, nbytes, start)
+            ex += 1
+            # Blocking send: the sender resumes first...
+            cause[src] = 2 * ex
+            t[src] = end
+            forward(src)
+            # ...then the receiver's get.
+            if arrived[dst]:
+                receive(dst, end, ex)
+            else:
+                deposit[dst] = (end, ex)
+    if stats is not None:
+        sends = size - 1
+        stats.sends += sends
+        stats.bytes_sent += sends * nbytes
+    return t
+
+
+def _barrier_replay(wire: Wire, times: list[float], stats) -> list[float]:
+    size = len(times)
+    rounds = max(1, (size - 1).bit_length())   # ceil(log2(size))
+    nbytes = payload_nbytes(None)
+    send = wire.send
+    heappush, heappop = heapq.heappush, heapq.heappop
+    tick = count()
+    t = list(times)
+    arrived = [False] * size
+    cause = [0] * size
+    stage = [0] * size
+    dest = [0] * size
+    send_end: list = [None] * size
+    send_exec = [0] * size
+    # Slot ``rank * rounds + k``: (when, exec) of round k's deposit from
+    # rank - 2**k (one per slot: the round offsets are distinct mod size).
+    deposit: list = [None] * (size * rounds)
+    heap: list = []
+    ex = 0
+
+    def advance(rank: int) -> None:
+        end = send_end[rank]
+        if end is None:
+            return
+        k = stage[rank]
+        got = deposit[rank * rounds + k]
+        if got is None:
+            return
+        deposit[rank * rounds + k] = None
+        when, dex = got
+        ready = t[rank]
+        if when > ready:
+            cause[rank] = 2 * dex + 1
+            ready = when
+        if end >= ready:
+            # isend completion: two hops (put fire, process event).
+            cause[rank] = _HOP + 2 * send_exec[rank]
+        nxt = when if when > end else end
+        t[rank] = nxt
+        stage[rank] = k + 1
+        send_end[rank] = None
+        if k + 1 < rounds:
+            dest[rank] = (rank + (2 << k)) % size
+            heappush(heap, (nxt, cause[rank], next(tick), rank))
+
+    last = size - 1
+    for n, rank in enumerate(sorted(range(size), key=times.__getitem__)):
+        arrived[rank] = True
+        ex += 1
+        cause[rank] = 2 * ex + 1
+        dest[rank] = (rank + 1) % size
+        heappush(heap, (t[rank], cause[rank], next(tick), rank))
+        limit = math.inf if n == last else times[rank]
+        while heap and heap[0][0] <= limit:
+            start, _cause, _seq, src = heappop(heap)
+            dst = dest[src]
+            end = send(src, dst, nbytes, start)
+            ex += 1
+            send_exec[src] = ex
+            send_end[src] = end
+            # isend: the receiver's get fires before the sender resumes.
+            deposit[dst * rounds + stage[src]] = (end, ex)
+            if arrived[dst]:
+                advance(dst)
+            advance(src)
+    if stats is not None:
+        sends = size * rounds
+        stats.sends += sends
+        stats.bytes_sent += sends * nbytes
+    return t
 
 
 def replay_chain(network, nodes: list[int],
@@ -785,19 +974,10 @@ def replay_chain(network, nodes: list[int],
     stats.  This is the closed-form primitive behind the LU per-panel
     cost table.
     """
-    times = [t0] * len(nodes)
-    engines: dict = {}
     from repro.mpi.ops import SUM
+    wire = Wire(network, nodes, record_stats=False)
+    times = [t0] * len(nodes)
     for kind, root, payloads in steps:
-        wire = Wire(network, nodes, engines=engines, record_stats=False)
-        sim = CollSim(kind, len(nodes), DetachedSender(wire),
-                      root=root, op=SUM)
-        resolved: list = []
-        order = sorted(range(len(nodes)), key=lambda r: times[r])
-        for rank in order:
-            resolved.extend(sim.arrive(rank, times[rank], payloads[rank]))
-        sim.drain(float("inf"))
-        resolved.extend(sim.take_resolved())
-        for rank, when, _value, _cause in resolved:
-            times[rank] = when
+        times = collsim_replay(wire, kind, times, payloads, root=root,
+                               op=SUM)
     return times
