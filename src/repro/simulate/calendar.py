@@ -42,6 +42,14 @@ from typing import Any, Optional
 
 _INF = float("inf")
 
+#: Population at which the calendar's heap mode spills into buckets, the
+#: level at which it collapses back (hysteresis), and the push-counter
+#: mask between occupancy checks (power of two - 1).  Module constants
+#: so the hot paths read them as fast globals; the class re-exports them.
+_SPILL = 4096
+_COLLAPSE = 1024
+_CHECK_MASK = 4095
+
 #: Entry tuples are packed records ``(when, priority, seq, handler_id,
 #: arg)``, compared left-to-right.  ``seq`` is unique (the Environment's
 #: monotone tie counter), so comparisons never reach the handler id or
@@ -95,27 +103,31 @@ class CalendarEventQueue:
 
     Buckets stay append-only until their slot becomes the current one;
     the first pop from a slot sorts the bucket descending and further
-    pops take O(1) from the tail.  A push *into* the current slot (a
-    zero-delay cascade) just invalidates the sorted cache — timsort
-    re-sorts the nearly-sorted bucket in close to linear time.
+    pops take O(1) from the tail of the cached current bucket, without
+    touching the slot heap or the dict.  A push *into* the current slot
+    (a zero-delay cascade), or into a new slot ahead of it, just
+    invalidates that cache — timsort re-sorts the nearly-sorted bucket
+    in close to linear time.
+
+    Buckets are wide (~64 events): at large populations every bucket,
+    dict entry and slot-heap key is a cache miss, so fewer, fuller
+    buckets beat narrow ones even though each sort compares more.
     """
 
-    __slots__ = ("_heap", "_slots", "_slot_heap", "_inv", "_cur",
+    __slots__ = ("_heap", "_slots", "_slot_heap", "_inv", "_cur", "_curb",
                  "_size", "_pushes", "_calendar", "resizes", "spills")
 
     kind = "calendar"
 
-    #: Population at which the heap spills into calendar buckets, and
-    #: the level at which the calendar collapses back (hysteresis).
-    _SPILL = 4096
-    _COLLAPSE = 1024
+    _SPILL = _SPILL
+    _COLLAPSE = _COLLAPSE
+    _CHECK_MASK = _CHECK_MASK
     #: Events per bucket the resize aims for, and the occupancy band
-    #: outside which a resize triggers.
-    _TARGET = 8.0
-    _MIN_OCC = 2.0
-    _MAX_OCC = 48.0
-    #: Push-counter mask between occupancy checks (power of two - 1).
-    _CHECK_MASK = 4095
+    #: outside which a resize triggers.  The 8x upper band lets a
+    #: growing population re-bucket only every 8x growth.
+    _TARGET = 64.0
+    _MIN_OCC = 16.0
+    _MAX_OCC = 512.0
 
     def __init__(self) -> None:
         self._heap: list[Entry] = []          # heap mode storage
@@ -123,6 +135,7 @@ class CalendarEventQueue:
         self._slot_heap: list[int] = []       # active slot numbers
         self._inv = 1.0                       # 1 / bucket width
         self._cur: Optional[int] = None       # slot whose bucket is sorted
+        self._curb: Optional[list] = None     # that bucket, if _cur is set
         self._size = 0
         self._pushes = 0
         self._calendar = False
@@ -140,7 +153,7 @@ class CalendarEventQueue:
         self._size += 1
         if not self._calendar:
             heappush(self._heap, (when, priority, seq, handler_id, arg))
-            if self._size > self._SPILL:
+            if self._size > _SPILL:
                 self._spill()
             return
         slot = int(when * self._inv) if when < _INF else _INF
@@ -148,32 +161,31 @@ class CalendarEventQueue:
         if bucket is None:
             self._slots[slot] = [(when, priority, seq, handler_id, arg)]
             heappush(self._slot_heap, slot)
+            cur = self._cur
+            if cur is not None and slot < cur:
+                self._cur = None
         else:
             bucket.append((when, priority, seq, handler_id, arg))
             if slot == self._cur:
                 self._cur = None
         self._pushes += 1
-        if not (self._pushes & self._CHECK_MASK):
+        if not (self._pushes & _CHECK_MASK):
             self._maybe_resize()
 
     # -- dequeueing --------------------------------------------------------
     def pop(self) -> Entry:
         if not self._calendar:
+            entry = heappop(self._heap)
             self._size -= 1
-            return heappop(self._heap)
-        slot = self._slot_heap[0]
-        bucket = self._slots[slot]
-        if slot != self._cur:
-            bucket.sort()
-            bucket.reverse()
-            self._cur = slot
+            return entry
+        if self._cur is None:
+            self._sort_head()
+        bucket = self._curb
         entry = bucket.pop()
         if not bucket:
-            del self._slots[slot]
-            heappop(self._slot_heap)
-            self._cur = None
+            self._retire_head()
         self._size -= 1
-        if self._size < self._COLLAPSE:
+        if self._size < _COLLAPSE:
             self._collapse()
         return entry
 
@@ -185,43 +197,47 @@ class CalendarEventQueue:
                 self._size -= 1
                 return heappop(heap)
             return None
-        if not self._slot_heap:
-            return None
-        slot = self._slot_heap[0]
-        if slot is not _INF and slot > 0 and slot > deadline * self._inv:
-            # Every entry in a positive slot s has time >= s * width,
-            # so s > deadline/width means nothing there is due yet.
-            return None
-        bucket = self._slots[slot]
-        if slot != self._cur:
-            bucket.sort()
-            bucket.reverse()
-            self._cur = slot
+        if self._cur is None:
+            slot = self._slot_heap[0]
+            if slot is not _INF and slot > 0 and slot > deadline * self._inv:
+                # Every entry in a positive slot s has time >= s * width,
+                # so s > deadline/width means nothing there is due yet.
+                return None
+            self._sort_head()
+        bucket = self._curb
         if bucket[-1][0] > deadline:
             return None
         entry = bucket.pop()
         if not bucket:
-            del self._slots[slot]
-            heappop(self._slot_heap)
-            self._cur = None
+            self._retire_head()
         self._size -= 1
-        if self._size < self._COLLAPSE:
+        if self._size < _COLLAPSE:
             self._collapse()
         return entry
+
+    def _sort_head(self) -> None:
+        """Make the earliest active slot current: sort its bucket
+        descending so pops take O(1) from the tail."""
+        slot = self._slot_heap[0]
+        self._curb = bucket = self._slots[slot]
+        bucket.sort()
+        bucket.reverse()
+        self._cur = slot
+
+    def _retire_head(self) -> None:
+        """Drop the current slot once its bucket has drained."""
+        del self._slots[self._cur]
+        heappop(self._slot_heap)
+        self._cur = None
+        self._curb = None
 
     def peek_when(self) -> float:
         if not self._calendar:
             heap = self._heap
             return heap[0][0] if heap else _INF
-        if not self._slot_heap:
-            return _INF
-        slot = self._slot_heap[0]
-        bucket = self._slots[slot]
-        if slot != self._cur:
-            bucket.sort()
-            bucket.reverse()
-            self._cur = slot
-        return bucket[-1][0]
+        if self._cur is None:
+            self._sort_head()
+        return self._curb[-1][0]
 
     # -- mode transitions --------------------------------------------------
     def _spill(self) -> None:
@@ -238,6 +254,7 @@ class CalendarEventQueue:
         self._slots.clear()
         self._slot_heap.clear()
         self._cur = None
+        self._curb = None
         self._calendar = False
         self.spills += 1
         heapify(entries)
@@ -257,14 +274,11 @@ class CalendarEventQueue:
     def _rebuild(self, entries: list[Entry]) -> None:
         """Re-bucket ``entries`` at a width targeting ``_TARGET`` events
         per bucket over the population's current time span."""
-        finite_lo = _INF
-        finite_hi = -_INF
-        for entry in entries:
-            when = entry[0]
-            if when < finite_lo:
-                finite_lo = when
-            if finite_hi < when < _INF:
-                finite_hi = when
+        whens = [entry[0] for entry in entries]
+        finite_lo = min(whens, default=_INF)
+        top = max(whens, default=-_INF)
+        finite_hi = top if top < _INF else \
+            max((w for w in whens if w < _INF), default=-_INF)
         span = finite_hi - finite_lo
         if span > 0:
             width = span / max(1.0, len(entries) / self._TARGET)
@@ -275,11 +289,14 @@ class CalendarEventQueue:
                 self._inv = 1.0 / width
         self.resizes += 1
         inv = self._inv
+        if top < _INF:
+            keys = [int(w * inv) for w in whens]
+        else:
+            keys = [int(w * inv) if w < _INF else _INF for w in whens]
         slots = self._slots
-        for entry in entries:
-            when = entry[0]
-            slot = int(when * inv) if when < _INF else _INF
-            bucket = slots.get(slot)
+        get = slots.get
+        for slot, entry in zip(keys, entries):
+            bucket = get(slot)
             if bucket is None:
                 slots[slot] = [entry]
             else:
@@ -288,6 +305,7 @@ class CalendarEventQueue:
         heapify(slot_heap)
         self._slot_heap = slot_heap
         self._cur = None
+        self._curb = None
 
 
 def make_event_queue(kernel: str):
