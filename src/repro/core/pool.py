@@ -3,6 +3,7 @@ reservation ledger the wake path keeps over it."""
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Optional
 
 
@@ -18,8 +19,9 @@ class ProcessorPool:
         if total < 1:
             raise ValueError("pool must have at least one processor")
         self.total = total
-        self._free: set[int] = set(range(total))
+        self._free: list[int] = list(range(total))  # kept sorted
         self._owner: dict[int, int] = {}  # processor -> job_id
+        self._held: dict[int, set[int]] = {}  # job_id -> processors
 
     @property
     def free_count(self) -> int:
@@ -30,13 +32,13 @@ class ProcessorPool:
         return self.total - len(self._free)
 
     def free_processors(self) -> list[int]:
-        return sorted(self._free)
+        return list(self._free)
 
     def owner_of(self, processor: int) -> Optional[int]:
         return self._owner.get(processor)
 
     def processors_of(self, job_id: int) -> list[int]:
-        return sorted(p for p, j in self._owner.items() if j == job_id)
+        return sorted(self._held.get(job_id, ()))
 
     def allocate(self, count: int, job_id: int) -> list[int]:
         """Take ``count`` free processors for ``job_id``."""
@@ -45,10 +47,10 @@ class ProcessorPool:
         if count > len(self._free):
             raise RuntimeError(f"allocation of {count} processors with "
                                f"only {len(self._free)} free")
-        chosen = sorted(self._free)[:count]
-        for p in chosen:
-            self._free.discard(p)
-            self._owner[p] = job_id
+        chosen = self._free[:count]
+        del self._free[:count]
+        self._owner.update(dict.fromkeys(chosen, job_id))
+        self._held.setdefault(job_id, set()).update(chosen)
         return chosen
 
     def release(self, processors: list[int], job_id: int) -> None:
@@ -58,12 +60,16 @@ class ProcessorPool:
                 raise RuntimeError(f"processor {p} not held by job "
                                    f"{job_id}")
             del self._owner[p]
-            self._free.add(p)
+            self._held[job_id].remove(p)
+            insort(self._free, p)
 
     def release_all(self, job_id: int) -> list[int]:
         """Return everything ``job_id`` holds; returns what was freed."""
-        held = self.processors_of(job_id)
-        self.release(held, job_id)
+        held = sorted(self._held.pop(job_id, ()))
+        for p in held:
+            del self._owner[p]
+        self._free += held
+        self._free.sort()
         return held
 
 

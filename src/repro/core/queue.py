@@ -7,12 +7,14 @@ Two implementations, one decision contract:
 
 :class:`JobQueue`
     Size-indexed: jobs bucket by requested processor count, each bucket
-    a priority heap on the FCFS key ``(-priority, arrival seq)``.  A
-    wake probe (``next_startable``) takes one pass over the *distinct
-    sizes present* — bounded by the machine's processor count, not the
-    queue population — so 10k+ queued jobs probe in microseconds where
-    the scan took milliseconds.  O(log n) per enqueue, O(1) amortized
-    lazy removal.
+    a priority heap on the FCFS key ``(-priority, arrival seq)`` whose
+    live head is cached in a ``size -> head`` map.  Heads change only
+    at ``enqueue`` (a smaller key replaces the head) and at ``remove``
+    of a head (stale heap entries are popped until a live one is on
+    top, or the class is deleted).  A wake probe (``next_startable``)
+    is then one or two C-level ``min`` calls over the cached heads, so
+    10k+ queued jobs probe in microseconds where the scan took
+    milliseconds.  O(log n) per enqueue, O(1) amortized lazy removal.
 
 :class:`ScanJobQueue`
     The seed implementation — an arrival-ordered deque with an O(n)
@@ -47,9 +49,10 @@ class JobQueue:
         self._seq = 0
         #: requested size -> heap of (-priority, seq, job); entries whose
         #: key no longer matches ``_entries`` are stale (lazy deletion).
+        #: The top of every heap is kept live.
         self._classes: dict[int, list[tuple[int, int, Job]]] = {}
-        #: requested size -> live-entry count for that class.
-        self._live: dict[int, int] = {}
+        #: requested size -> live head entry (the top of its heap).
+        self._heads: dict[int, tuple[int, int, Job]] = {}
         #: Sorted distinct sizes with at least one live job.
         self._sizes: list[int] = []
         #: job_id -> (-priority, seq, job) for every queued job.
@@ -81,20 +84,17 @@ class JobQueue:
         entry = (-job.priority, self._seq, job)
         size = job.requested_size
         self._entries[job.job_id] = entry
-        heappush(self._classes.setdefault(size, []), entry)
-        live = self._live.get(size, 0)
-        self._live[size] = live + 1
-        if live == 0:
+        heap = self._classes.get(size)
+        if heap is None:
+            self._classes[size] = heap = []
             insort(self._sizes, size)
+        heappush(heap, entry)
+        self._heads[size] = heap[0]
 
     def head(self) -> Optional[Job]:
         """The job FCFS would start next (min key over every class)."""
-        best = None
-        for size in self._sizes:
-            entry = self._class_head(size)
-            if best is None or entry < best:
-                best = entry
-        return best[2] if best is not None else None
+        heads = self._heads
+        return min(heads.values())[2] if heads else None
 
     def next_startable(self, free: int) -> Optional[Job]:
         """The next job that can start on ``free`` processors.
@@ -102,26 +102,21 @@ class JobQueue:
         FCFS: only the head may start.  With backfill, the earliest
         queued job small enough for the free processors may jump ahead
         (simple backfill — no reservation bookkeeping, as in the
-        paper's prototype).  One pass over the distinct sizes computes
-        both the head and the backfill winner.
+        paper's prototype).  Both are a C-level ``min`` over the cached
+        class heads: all of them for the head, the sizes ``<= free``
+        for the backfill winner.
         """
-        if not self._entries:
+        heads = self._heads
+        if not heads:
             return None
-        sizes = self._sizes
-        fitting = bisect_right(sizes, free)
-        best = None       # min key over every class: the FCFS head
-        startable = None  # min key over classes that fit in ``free``
-        for i, size in enumerate(sizes):
-            entry = self._class_head(size)
-            if best is None or entry < best:
-                best = entry
-            if i < fitting and (startable is None or entry < startable):
-                startable = entry
-        assert best is not None
-        if best[2].requested_size <= free:
-            return best[2]
-        if self.backfill and startable is not None:
-            return startable[2]
+        job = min(heads.values())[2]
+        if job.requested_size <= free:
+            return job
+        if self.backfill:
+            sizes = self._sizes
+            fitting = bisect_right(sizes, free)
+            if fitting:
+                return min(map(heads.__getitem__, sizes[:fitting]))[2]
         return None
 
     def remove(self, job: Job) -> None:
@@ -129,12 +124,17 @@ class JobQueue:
         if entry is None:
             raise ValueError(f"job {job.name} is not queued")
         size = job.requested_size
-        remaining = self._live[size] - 1
-        if remaining:
-            self._live[size] = remaining
-            # The class heap keeps a stale entry; _class_head skips it.
+        if self._heads[size] is not entry:
+            return  # the class heap keeps a stale entry below its head
+        heap = self._classes[size]
+        entries = self._entries
+        heappop(heap)
+        while heap and entries.get(heap[0][2].job_id) is not heap[0]:
+            heappop(heap)
+        if heap:
+            self._heads[size] = heap[0]
         else:
-            del self._live[size]
+            del self._heads[size]
             del self._classes[size]
             self._sizes.remove(size)
 
@@ -157,18 +157,7 @@ class JobQueue:
             return False
         if self.backfill:
             return self._sizes[0] <= free
-        head = self.head()
-        return head is not None and head.requested_size <= free
-
-    def _class_head(self, size: int) -> tuple[int, int, Job]:
-        """Live minimum of one class, discarding stale heap entries."""
-        heap = self._classes[size]
-        entries = self._entries
-        while True:
-            entry = heap[0]
-            if entries.get(entry[2].job_id) is entry:
-                return entry
-            heappop(heap)
+        return self.head().requested_size <= free
 
 
 class ScanJobQueue:

@@ -35,15 +35,19 @@ def make_job(size, priority=0):
 
 class TestScanEquivalence:
     def drive(self, script):
-        """Run one op script against both queues, comparing decisions."""
+        """Run one op script against both queues, comparing decisions.
+
+        ``remove`` takes out an arbitrary queued job (not only a class
+        head, which is all ``start`` ever removes) and ``reenqueue``
+        puts a removed job back, behind its equals.
+        """
         indexed = JobQueue(backfill=True)
         scan = ScanJobQueue(backfill=True)
-        jobs = []
+        removed = []
         for op, value in script:
             if op == "enqueue":
                 size, priority = value
                 job = make_job(size, priority)
-                jobs.append(job)
                 indexed.enqueue(job)
                 scan.enqueue(job)
             elif op == "probe":
@@ -51,16 +55,28 @@ class TestScanEquivalence:
                 b = scan.next_startable(value)
                 assert a is b, (value, a, b)
             elif op == "start" and len(indexed):
-                job = indexed.next_startable(16)
-                assert job is scan.next_startable(16)
+                job = indexed.next_startable(value)
+                assert job is scan.next_startable(value)
                 if job is not None:
                     indexed.remove(job)
                     scan.remove(job)
+            elif op == "remove" and len(indexed):
+                job = list(scan)[value % len(scan)]
+                indexed.remove(job)
+                scan.remove(job)
+                removed.append(job)
+            elif op == "reenqueue" and removed:
+                job = removed.pop(value % len(removed))
+                indexed.enqueue(job)
+                scan.enqueue(job)
             assert len(indexed) == len(scan)
+            assert list(indexed) == list(scan)
             assert indexed.head() is scan.head()
             assert (indexed.min_requested_size()
                     == scan.min_requested_size())
-            for free in (0, 1, 5, 16):
+            for free in (0, 1, 5, 16, 36):
+                assert indexed.next_startable(free) is \
+                    scan.next_startable(free)
                 assert indexed.needed_for_head(free) == \
                     scan.needed_for_head(free)
                 assert indexed.can_start(free) == scan.can_start(free)
@@ -68,11 +84,15 @@ class TestScanEquivalence:
     @given(st.lists(
         st.one_of(
             st.tuples(st.just("enqueue"),
-                      st.tuples(st.integers(1, 16), st.integers(0, 2))),
-            st.tuples(st.just("probe"), st.integers(0, 16)),
-            st.tuples(st.just("start"), st.none()),
+                      st.tuples(st.one_of(st.integers(1, 4),
+                                          st.integers(1, 36)),
+                                st.integers(0, 2))),
+            st.tuples(st.just("probe"), st.integers(0, 36)),
+            st.tuples(st.just("start"), st.integers(0, 36)),
+            st.tuples(st.just("remove"), st.integers(0, 200)),
+            st.tuples(st.just("reenqueue"), st.integers(0, 200)),
         ), min_size=1, max_size=120))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_property_identical_decisions(self, script):
         self.drive(script)
 
